@@ -8,6 +8,14 @@ measures three independent axes of serving v2:
   generator at ``concurrency=1`` (no-batching baseline) vs
   ``concurrency=8``: the mean fused batch size must exceed 1 graph per
   forward pass, and every request must be answered with 200 or 429.
+* **Latency budget** (``latency_budget`` stage) — from the same run, the
+  served p50 at ``concurrency=1`` against the in-process
+  ``predict_proba`` p50 of one graph, plus the unaccounted share of the
+  served p50 (client latency the ``Server-Timing`` stages do not
+  cover).  The served p50 may exceed in-process by at most
+  ``BUDGET_SLACK_MS``; the stage's ``speedup`` is budget / served p50,
+  gated at a floor of 1.0.  A returning ~40 ms Nagle/delayed-ACK stall
+  or an idle fill-window wait blows past it.
 * **Pool scaling** (``pool_scaling`` stage) — the same job stream pushed
   through :class:`~repro.serve.pool.InferencePool` at 1/2/4 worker
   processes by 8 concurrent client threads.  The recorded ``speedup`` is
@@ -36,6 +44,8 @@ import os
 import threading
 import time
 from pathlib import Path
+
+import numpy as np
 
 from benchmarks._common import CONFIG, bench_dataset, print_header, print_table
 from repro.core import deepmap_wl, save_model
@@ -69,6 +79,10 @@ POOL_CLIENTS = 8
 #: Codec stage: encode+parse round-trips per codec at this batch size.
 CODEC_REPEATS = 2 if SMOKE else 25
 CODEC_BATCH = 32
+#: Latency budget: served p50 (concurrency 1) <= in-process p50 + this.
+BUDGET_SLACK_MS = 5.0
+#: Single-graph in-process predict_proba calls timed for its p50.
+INPROCESS_REPEATS = 20 if SMOKE else 200
 
 _cores = os.cpu_count() or 1
 
@@ -79,7 +93,10 @@ POOL_FLOOR = 1.8
 POOL_FLOOR_ARMED = _cores >= 4
 CODEC_FLOOR = 2.0
 
-STAGE_FLOORS: dict[str, float] = {"codec_serialize": CODEC_FLOOR}
+STAGE_FLOORS: dict[str, float] = {
+    "codec_serialize": CODEC_FLOOR,
+    "latency_budget": 1.0,
+}
 if POOL_FLOOR_ARMED:
     STAGE_FLOORS["pool_scaling"] = POOL_FLOOR
 
@@ -107,6 +124,8 @@ def _record(section: str, payload: dict) -> None:
         "pool_batch": POOL_BATCH,
         "codec_repeats": CODEC_REPEATS,
         "codec_batch": CODEC_BATCH,
+        "budget_slack_ms": BUDGET_SLACK_MS,
+        "inprocess_repeats": INPROCESS_REPEATS,
         "smoke": SMOKE,
         "pool_floor_armed": POOL_FLOOR_ARMED,
         "acceptance": {"floors": dict(STAGE_FLOORS)},
@@ -128,12 +147,23 @@ def _trained_model_path(tmp_path) -> tuple:
     return ds, model, path
 
 
+def _inprocess_p50_ms(model, graphs) -> float:
+    """Median wall time of one single-graph ``predict_proba`` call."""
+    model.predict_proba(graphs[:1])  # warm up
+    times = []
+    for i in range(INPROCESS_REPEATS):
+        start = time.perf_counter()
+        model.predict_proba([graphs[i % len(graphs)]])
+        times.append((time.perf_counter() - start) * 1000.0)
+    return float(np.median(times))
+
+
 def test_serve_latency_and_batching(tmp_path):
     print_header(
         f"Serving latency: closed-loop {BASELINE_CONCURRENCY} vs "
         f"{BATCHING_CONCURRENCY} workers ({_cores} CPUs)"
     )
-    ds, _, path = _trained_model_path(tmp_path)
+    ds, model, path = _trained_model_path(tmp_path)
 
     registry = ModelRegistry()
     registry.load(path)
@@ -162,6 +192,27 @@ def test_serve_latency_and_batching(tmp_path):
     batched = sections[BATCHING_CONCURRENCY]
     _record("closed_loop_1", baseline.to_dict())
     _record("closed_loop_8", batched.to_dict())
+
+    served_ms = baseline.percentile_ms(50)
+    inprocess_ms = _inprocess_p50_ms(model, ds.graphs)
+    budget_ms = inprocess_ms + BUDGET_SLACK_MS
+    unaccounted_ms = baseline.unaccounted_p50_ms
+    _STAGES["latency_budget"] = {
+        "speedup": budget_ms / served_ms,
+        "served_p50_ms": round(served_ms, 3),
+        "inprocess_p50_ms": round(inprocess_ms, 3),
+        "budget_ms": round(budget_ms, 3),
+        "server_p50_ms": round(baseline.server_p50_ms, 3),
+        "unaccounted_p50_ms": round(unaccounted_ms, 3),
+        "unaccounted_share": round(unaccounted_ms / served_ms, 4),
+    }
+    _record("stages", {"latency_budget": _STAGES["latency_budget"]})
+    print(
+        f"latency budget: served p50 {served_ms:.2f} ms vs in-process "
+        f"{inprocess_ms:.2f} ms + {BUDGET_SLACK_MS:g} ms slack "
+        f"(unaccounted {unaccounted_ms:.2f} ms = "
+        f"{unaccounted_ms / served_ms:.0%} of served)"
+    )
 
     for result in (baseline, batched):
         # Backpressure contract: nothing dropped, everything 200 or 429.

@@ -70,7 +70,9 @@ inference serving:
               --port 8080 --max-batch 32 --max-wait-ms 5
                                    serve a saved model over HTTP; concurrent
                                    single-graph requests fuse into one CNN
-                                   forward pass (flush on max-batch graphs or
+                                   forward pass (an idle batcher dispatches at
+                                   once; while a pass runs, requests fill the
+                                   next batch up to max-batch graphs or
                                    max-wait-ms); a full admission queue sheds
                                    with 429 + Retry-After instead of queueing
                                    unboundedly; GET /metrics exposes queue
@@ -95,8 +97,10 @@ inference serving:
               --mode closed --concurrency 8 --duration 5
                                    closed- or open-loop (--mode open --rps R)
                                    load generator; prints p50/p95/p99 latency,
-                                   throughput, the mean fused batch size, and
-                                   the admission-queue high-water mark
+                                   throughput, the server-accounted and
+                                   unaccounted p50 (from Server-Timing), the
+                                   mean fused batch size, and the
+                                   admission-queue high-water mark
   repro loadtest URL --codec binary
                                    drive the binary CSR wire codec
                                    (application/x-repro-graph) instead of JSON
@@ -361,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="T",
-        help="flush a fused batch after T ms of coalescing (default 5)",
+        help=(
+            "while a forward pass is in flight, hold the next batch open "
+            "for up to T ms to fuse more requests; with no pass running a "
+            "batch dispatches at once (default 5)"
+        ),
     )
     serve.add_argument(
         "--max-queue",

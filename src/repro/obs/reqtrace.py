@@ -11,7 +11,7 @@ child spans::
       queue_wait                 # admission -> picked into a batch
       batch_wait                 # picked -> fused forward pass starts
       infer                      # the fused forward pass (shared with batchmates)
-      serialize                  # response encoding + write
+      serialize                  # response encoding (ends before the write)
 
 The fan-in is recorded as *span links*: the batcher's ``serve_batch``
 span carries the trace ids of every request fused into it (and each
@@ -27,6 +27,12 @@ Two consumers reconstruct waterfalls from those spans:
   the JSONL event log via :func:`build_waterfall`.
 
 Both render through :func:`format_waterfall`.
+
+The same four durations travel back to the client on every predict
+response as a ``Server-Timing`` header (:func:`format_server_timing` /
+:func:`parse_server_timing`), so a client can split its own latency into
+server-accounted time and the unaccounted rest (request read and parse,
+transport).
 """
 
 from __future__ import annotations
@@ -37,12 +43,15 @@ import threading
 from collections import OrderedDict
 
 __all__ = [
+    "SERVER_TIMING_HEADER",
     "TRACE_HEADER",
     "TraceStore",
     "build_waterfall",
+    "format_server_timing",
     "format_waterfall",
     "list_traces",
     "new_trace_id",
+    "parse_server_timing",
     "valid_trace_id",
 ]
 
@@ -54,8 +63,40 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 #: echo into logs, JSON, and metrics labels.
 _TRACE_ID_RE = re.compile(r"^[0-9a-fA-F][0-9a-fA-F-]{7,63}$")
 
+#: Response header carrying the request's stage durations (W3C
+#: Server-Timing syntax: ``name;dur=<milliseconds>``, comma-separated).
+SERVER_TIMING_HEADER = "Server-Timing"
+
 #: Stage names that make up a request waterfall, in timeline order.
 WATERFALL_STAGES = ("queue_wait", "batch_wait", "infer", "serialize")
+
+
+def format_server_timing(stages: list[dict]) -> str:
+    """``Server-Timing`` value for waterfall stages (``duration_s`` each)."""
+    return ", ".join(
+        f"{stage['name']};dur={stage['duration_s'] * 1000.0:.3f}" for stage in stages
+    )
+
+
+def parse_server_timing(value: str | None) -> dict[str, float]:
+    """Stage name -> milliseconds from a ``Server-Timing`` value.
+
+    Entries without a parseable ``dur`` parameter are skipped, so a
+    header from another server degrades to fewer stages, never an error.
+    """
+    timings: dict[str, float] = {}
+    for entry in (value or "").split(","):
+        name, *params = (part.strip() for part in entry.split(";"))
+        for param in params:
+            key, _, raw = param.partition("=")
+            if key.strip().lower() != "dur":
+                continue
+            try:
+                timings[name] = float(raw.strip().strip('"'))
+            except ValueError:
+                pass
+            break
+    return timings
 
 
 def new_trace_id() -> str:

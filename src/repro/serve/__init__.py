@@ -8,8 +8,9 @@ turns such artifacts into a network service:
   slots loaded from persistence files, warm-preloaded and hot-swappable;
 * :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
   single-graph predict requests into one encoder/CNN forward pass
-  (flush on ``max_batch`` graphs or ``max_wait_ms``, per-request
-  deadlines, bounded admission queue that sheds instead of collapsing);
+  (dispatch at once when no pass is running, otherwise fill until
+  ``max_batch`` graphs or ``max_wait_ms``; per-request deadlines,
+  bounded admission queue that sheds instead of collapsing);
 * :class:`~repro.serve.http.ReproServer` — a ``ThreadingHTTPServer``
   front-end (``POST /v1/predict``, ``POST /v1/predict_proba``,
   ``GET /healthz``, ``GET /metrics``, ``GET /v1/traces/<id>``) with

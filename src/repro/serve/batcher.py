@@ -10,10 +10,14 @@ than one when fused into a single encoder/CNN pass.  The
   sheds the request immediately (:class:`RequestShed` -> HTTP 429)
   instead of letting latency collapse for everyone;
 * one or more drainer threads (``workers``, resizable at runtime via
-  :meth:`MicroBatcher.resize`) pull from the shared queue, each fusing
-  requests until its batch holds ``max_batch`` graphs or ``max_wait_ms``
-  has passed since the oldest request in the batch arrived, whichever
-  comes first;
+  :meth:`MicroBatcher.resize`) pull from the shared queue.  While no
+  forward pass is running a drainer takes what is already queued and
+  dispatches at once — waiting could only add latency.  While a pass is
+  in flight it holds its batch open, fusing requests until the batch
+  holds ``max_batch`` graphs, ``max_wait_ms`` has passed since the
+  oldest request in it arrived, or the pass ends, whichever comes
+  first.  Under load, requests that arrive during a pass fuse into the
+  next batch; at concurrency 1 a request never waits;
 * each request carries an optional **deadline**; requests that expire
   while queued are answered with :class:`DeadlineExceeded` (HTTP 504)
   *before* wasting a slot in the forward pass;
@@ -228,8 +232,10 @@ class MicroBatcher:
     max_batch:
         Flush threshold in *graphs* (requests may carry several).
     max_wait_ms:
-        Flush threshold in milliseconds since the oldest batched
-        request arrived.  ``0`` disables coalescing delay entirely.
+        Fill window in milliseconds since the oldest batched request
+        arrived, applied only while a forward pass is in flight in this
+        batcher (otherwise a batch dispatches as soon as it is
+        collected).  ``0`` disables coalescing delay entirely.
     max_queue:
         Admission-queue bound in *requests*; beyond it ``submit`` sheds.
     workers:
@@ -266,6 +272,7 @@ class MicroBatcher:
         self._target_workers = workers
         self._retire = 0  # drainers to retire after a shrink
         self._carries: dict[int, _Pending] = {}  # thread ident -> carry
+        self._in_flight = 0  # forward passes running; guarded by _lock
         self._peak_depth = 0
         self._thread_ids = itertools.count(1)
 
@@ -453,8 +460,17 @@ class MicroBatcher:
         with self._lock:
             self._carries[threading.get_ident()] = pending
 
+    def _pass_in_flight(self) -> bool:
+        with self._lock:
+            return self._in_flight > 0
+
     def _next_batch(self) -> list[_Pending]:
-        """Collect one batch: first request, then coalesce until a flush."""
+        """Collect one batch: first request, then coalesce until a flush.
+
+        The fill window only runs while another drainer's forward pass
+        is in flight; with none running, the batch takes what is queued
+        and goes.
+        """
         first = self._take_carry()
         if first is None:
             try:
@@ -471,15 +487,16 @@ class MicroBatcher:
             flush_at = 0.0  # draining: no coalescing delay, flush fast
         while total < self.max_batch:
             remaining = flush_at - time.monotonic()
+            waiting = remaining > 0 and self._pass_in_flight()
             try:
-                if remaining <= 0:
-                    nxt = self._queue.get_nowait()
-                else:
+                if waiting:
                     nxt = self._queue.get(timeout=min(remaining, 0.01))
+                else:
+                    nxt = self._queue.get_nowait()
             except queue.Empty:
-                if remaining <= 0:
-                    break
-                continue
+                if waiting:
+                    continue
+                break
             if total + len(nxt.graphs) > self.max_batch:
                 self._put_carry(nxt)  # runs first in the next batch
                 break
@@ -534,6 +551,8 @@ class MicroBatcher:
                 pending.batch_id = batch_id
                 pending.infer_started_at = infer_started
             start = time.perf_counter()
+            with self._lock:
+                self._in_flight += 1
             try:
                 with obs.span(
                     "serve_batch",
@@ -548,6 +567,9 @@ class MicroBatcher:
                 for pending in live:
                     pending.finish(error=exc)
                 continue
+            finally:
+                with self._lock:
+                    self._in_flight -= 1
             elapsed = time.perf_counter() - start
             infer_ended = time.monotonic()
             obs.counter("serve_batches_total").inc()

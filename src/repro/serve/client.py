@@ -2,8 +2,11 @@
 
 Built on :mod:`http.client` with a persistent keep-alive connection
 (reconnecting transparently when the server closes it), so the load
-generator is not benchmarking TCP handshakes.  One :class:`ServeClient`
-belongs to one thread; spawn a client per worker.
+generator is not benchmarking TCP handshakes.  ``HTTPConnection.connect``
+sets ``TCP_NODELAY`` on every socket it opens, so the request line,
+headers and body it sends as separate writes are never held back by
+Nagle.  One :class:`ServeClient` belongs to one thread; spawn a client
+per worker.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.obs.reqtrace import TRACE_HEADER
+from repro.obs.reqtrace import SERVER_TIMING_HEADER, TRACE_HEADER, parse_server_timing
 from repro.serve.codec import (
     BINARY_CONTENT_TYPE,
     decode_predict_response,
@@ -40,7 +43,8 @@ class ServeClient:
 
     Every response's echoed trace id is kept in :attr:`last_trace_id`,
     so callers can correlate a prediction with its server-side waterfall
-    (``client.trace(client.last_trace_id)`` or ``repro ops trace``).
+    (``client.trace(client.last_trace_id)`` or ``repro ops trace``), and
+    its ``Server-Timing`` stage durations in :attr:`last_server_timing`.
     """
 
     def __init__(
@@ -63,6 +67,10 @@ class ServeClient:
         self._conn: http.client.HTTPConnection | None = None
         #: Trace id echoed by the most recent response (None before any).
         self.last_trace_id: str | None = None
+        #: Stage name -> server-side milliseconds (``queue_wait``,
+        #: ``batch_wait``, ``infer``, ``serialize``) from the most recent
+        #: response's ``Server-Timing`` header; empty when it had none.
+        self.last_server_timing: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Transport
@@ -123,6 +131,9 @@ class ServeClient:
                 echoed = response_headers.get(TRACE_HEADER.lower())
                 if echoed:
                     self.last_trace_id = echoed
+                self.last_server_timing = parse_server_timing(
+                    response_headers.get(SERVER_TIMING_HEADER.lower())
+                )
                 return response.status, response_headers, data
             except (ConnectionError, http.client.HTTPException, OSError):
                 self.close()

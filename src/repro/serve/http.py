@@ -39,6 +39,22 @@ Handler threads only parse/serialise; all model work happens on the
 per-model batcher worker threads, so concurrency in the HTTP layer
 translates into *larger fused batches*, not into concurrent forward
 passes fighting over cores.
+
+Transport: accepted sockets are ``TCP_NODELAY`` and every response —
+status line, headers and body — leaves in one ``wfile.write``.  Writing
+headers and body separately lets Nagle hold the small second segment
+until the client's delayed ACK, about 40 ms per reply.  Predict
+responses carry a ``Server-Timing`` header with the request's
+``queue_wait`` / ``batch_wait`` / ``infer`` / ``serialize`` durations.
+
+Request framing: a ``POST`` must carry one non-negative integer
+``Content-Length`` (at most :data:`MAX_BODY_BYTES`) and no
+``Transfer-Encoding``; anything else is answered ``400`` (``413`` when
+too large) with ``Connection: close``, because the body's end is then
+unknown and the rest of the stream cannot be trusted.  The body is
+always read before routing, so a ``404`` leaves a keep-alive connection
+in sync; a ``GET`` that declares a body has it read (and ignored) under
+the same rules.
 """
 
 from __future__ import annotations
@@ -53,8 +69,10 @@ import numpy as np
 
 from repro import obs
 from repro.obs.reqtrace import (
+    SERVER_TIMING_HEADER,
     TRACE_HEADER,
     TraceStore,
+    format_server_timing,
     new_trace_id,
     valid_trace_id,
 )
@@ -84,6 +102,21 @@ __all__ = ["ServeConfig", "ReproServer"]
 REQUEST_SECONDS_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 _TRACES_PREFIX = "/v1/traces/"
+
+_PREDICT_PATHS = ("/v1/predict", "/v1/predict_proba")
+
+#: Largest request body accepted (bytes); a batch of 32 MUTAG-sized
+#: graphs is ~10 KB as JSON.  Bigger declared lengths get 413 before
+#: any read, so a hostile header cannot make the handler buffer it.
+MAX_BODY_BYTES = 64 << 20
+
+
+class _BadFraming(Exception):
+    """The request body's extent is unknown or refused; close after answering."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -437,6 +470,9 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1.0"
+        # StreamRequestHandler.setup() then sets TCP_NODELAY on every
+        # accepted connection.
+        disable_nagle_algorithm = True
         app = server
 
         # Structured access-log events (emitted per response in
@@ -469,19 +505,19 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             trace_id = self._ingress_trace_id()
             status = 500
             try:
+                if any(h in self.headers for h in ("Content-Length", "Transfer-Encoding")):
+                    self._read_body()  # ignored, but consumed to keep framing
                 if self.path == "/healthz":
                     status = self._send_json(
                         200, self.app.healthz(), trace_id=trace_id
                     )
                 elif self.path == "/metrics":
-                    body = obs.get_metrics().to_promtext().encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain; version=0.0.4")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.send_header(TRACE_HEADER, trace_id)
-                    self.end_headers()
-                    self.wfile.write(body)
-                    status = 200
+                    status = self._send(
+                        200,
+                        "text/plain; version=0.0.4",
+                        obs.get_metrics().to_promtext().encode(),
+                        trace_id=trace_id,
+                    )
                 elif self.path.startswith(_TRACES_PREFIX):
                     status = self._handle_get_trace(trace_id)
                 else:
@@ -490,6 +526,8 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
                         {"error": f"no such path: {self.path}"},
                         trace_id=trace_id,
                     )
+            except _BadFraming as exc:
+                status = self._refuse(exc, trace_id)
             finally:
                 self._access_log("GET", status, time.perf_counter() - start, trace_id)
 
@@ -510,7 +548,8 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             trace_id = self._ingress_trace_id()
             status = 500
             try:
-                if self.path not in ("/v1/predict", "/v1/predict_proba"):
+                raw = self._read_body()
+                if self.path not in _PREDICT_PATHS:
                     status = self._send_json(
                         404,
                         {"error": f"no such path: {self.path}"},
@@ -518,8 +557,10 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
                     )
                     return
                 status = self._handle_predict(
-                    want_proba=self.path.endswith("_proba"), trace_id=trace_id
+                    raw, want_proba=self.path.endswith("_proba"), trace_id=trace_id
                 )
+            except _BadFraming as exc:
+                status = self._refuse(exc, trace_id)
             except Exception as exc:  # noqa: BLE001 - last-resort 500
                 obs.counter("serve_internal_errors_total").inc()
                 status = self._send_json(
@@ -533,33 +574,62 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
                 obs.counter(f"serve_responses_{status}_total").inc()
                 # Only predict traffic spends SLO budget; health and
                 # metrics scrapes are not user-facing work.
-                if self.path in ("/v1/predict", "/v1/predict_proba"):
+                if self.path in _PREDICT_PATHS:
                     self.app.slo.observe(elapsed, status)
                 self._access_log("POST", status, elapsed, trace_id)
 
-        def _handle_predict(self, want_proba: bool, trace_id: str) -> int:
+        def _read_body(self) -> bytes:
+            """The request body, read exactly to its declared length.
+
+            Raises :class:`_BadFraming` when the length is missing,
+            ambiguous, not a plain non-negative integer, or too large,
+            and for ``Transfer-Encoding`` bodies (not supported): the
+            connection cannot be resynchronised after any of those.
+            """
+            if self.headers.get("Transfer-Encoding") is not None:
+                raise _BadFraming(400, "Transfer-Encoding is not supported")
+            values = self.headers.get_all("Content-Length") or []
+            if not values:
+                raise _BadFraming(400, "missing Content-Length")
+            text = values[0].strip()
+            if any(v.strip() != text for v in values) or not (
+                text.isascii() and text.isdigit()
+            ):
+                raise _BadFraming(400, f"bad Content-Length: {values[0]!r}")
+            length = int(text)
+            if length > MAX_BODY_BYTES:
+                raise _BadFraming(
+                    413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                )
+            return self.rfile.read(length)
+
+        def _refuse(self, exc: _BadFraming, trace_id: str) -> int:
+            return self._send_json(
+                exc.status,
+                {"error": str(exc)},
+                headers={"Connection": "close"},
+                trace_id=trace_id,
+            )
+
+        def _handle_predict(self, raw: bytes, want_proba: bool, trace_id: str) -> int:
             mono0 = time.monotonic()
             ts0 = time.time()
             endpoint = "predict_proba" if want_proba else "predict"
             status = 500
             timing: dict = {}
-            serialize_started: float | None = None
             name = None
             with obs.span(
                 "request", trace_id=trace_id, endpoint=endpoint, method="POST"
             ) as req_span:
                 try:
                     status = self._predict_inner(
-                        want_proba, trace_id, req_span, timing
+                        raw, want_proba, trace_id, req_span, timing
                     )
                     name = timing.get("model")
-                    serialize_started = timing.get("serialize_started_at")
                 finally:
                     req_span.set_attr("status", status)
                     total_s = time.monotonic() - mono0
-                    stages = _stage_spans(
-                        mono0, timing, serialize_started, time.monotonic()
-                    )
+                    stages = _stage_spans(mono0, timing)
                     if obs.enabled():
                         tracer = obs.get_tracer()
                         for stage in stages:
@@ -602,11 +672,9 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             return BINARY_CONTENT_TYPE in accept
 
         def _predict_inner(
-            self, want_proba: bool, trace_id: str, req_span, timing: dict
+            self, raw: bytes, want_proba: bool, trace_id: str, req_span, timing: dict
         ) -> int:
             try:
-                length = int(self.headers.get("Content-Length", 0))
-                raw = self.rfile.read(length)
                 if self._content_type() == BINARY_CONTENT_TYPE:
                     graphs, model, timeout_s = parse_predict_request_binary(raw)
                 else:
@@ -648,6 +716,7 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             except BatcherStopped as exc:
                 return self._send_json(503, {"error": str(exc)}, trace_id=trace_id)
             req_span.set_attr("batch_id", stamps.get("batch_id"))
+            timing["serialize_started_at"] = time.monotonic()
             body = {"model": extra["model"], "version": extra["version"]}
             if canaried:
                 # Only present while a canary split is configured, so
@@ -659,31 +728,52 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             else:
                 classes = np.asarray(extra["classes"])
                 body["labels"] = classes[np.argmax(proba, axis=1)].tolist()
-            timing["serialize_started_at"] = time.monotonic()
+            body["trace_id"] = trace_id
             if self._wants_binary():
-                return self._send_binary(200, body, trace_id=trace_id)
-            return self._send_json(200, body, trace_id=trace_id)
+                # Same tensors and metadata as the JSON path; errors
+                # still go out as JSON so a failing request is always
+                # inspectable with nothing but a text console.
+                content_type = BINARY_CONTENT_TYPE
+                data = encode_predict_response(body)
+            else:
+                content_type = "application/json"
+                data = json.dumps(body).encode()
+            timing["serialize_ended_at"] = time.monotonic()
+            server_timing = format_server_timing(_stage_spans(mono0=0.0, timing=timing))
+            return self._send(
+                200,
+                content_type,
+                data,
+                headers={SERVER_TIMING_HEADER: server_timing},
+                trace_id=trace_id,
+            )
 
         # -- plumbing ---------------------------------------------------
-        def _send_binary(
-            self, status: int, payload: dict, trace_id: str | None = None
+        def _send(
+            self,
+            status: int,
+            content_type: str,
+            body: bytes,
+            headers: dict | None = None,
+            trace_id: str | None = None,
         ) -> int:
-            """Answer in the binary codec (client sent ``Accept: x-repro-graph``).
+            """Write status line, headers and body as one buffer.
 
-            Carries byte-for-byte the same tensors and metadata as the
-            JSON path; errors still go out as JSON so a failing request
-            is always inspectable with nothing but a text console.
+            ``end_headers()`` would flush the header block as its own
+            write; the body trailing it as a second small segment is
+            what Nagle + delayed ACK stall.  ``send_response`` /
+            ``send_header`` still build the header block (and note a
+            ``Connection: close``); it is flushed together with the body.
             """
-            if trace_id is not None and "trace_id" not in payload:
-                payload = {**payload, "trace_id": trace_id}
-            body = encode_predict_response(payload)
             self.send_response(status)
-            self.send_header("Content-Type", BINARY_CONTENT_TYPE)
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             if trace_id is not None:
                 self.send_header(TRACE_HEADER, trace_id)
-            self.end_headers()
-            self.wfile.write(body)
+            for key, value in (headers or {}).items():
+                self.send_header(key, value)
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
             return status
 
         def _send_json(
@@ -695,34 +785,27 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
         ) -> int:
             if trace_id is not None and "trace_id" not in payload:
                 payload = {**payload, "trace_id": trace_id}
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if trace_id is not None:
-                self.send_header(TRACE_HEADER, trace_id)
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
-            return status
+            return self._send(
+                status,
+                "application/json",
+                json.dumps(payload).encode(),
+                headers=headers,
+                trace_id=trace_id,
+            )
 
     return Handler
 
 
-def _stage_spans(
-    mono0: float,
-    timing: dict,
-    serialize_started: float | None,
-    serialize_ended: float,
-) -> list[dict]:
+def _stage_spans(mono0: float, timing: dict) -> list[dict]:
     """Decompose one request into its waterfall stages.
 
     Stage boundaries come from the batcher's monotonic stamps
     (:meth:`MicroBatcher.submit_traced`); ``serialize`` covers response
-    encoding + write.  Stages whose boundaries were never reached
-    (sheds, deadline expiries, parse errors) are simply absent, so the
-    durations always sum to at most the measured request latency.
+    encoding and ends before the write, so the same stages can ride in
+    the response's own ``Server-Timing`` header.  Stages whose
+    boundaries were never reached (sheds, deadline expiries, parse
+    errors) are simply absent, so the durations always sum to at most
+    the measured request latency.
     """
     spans: list[dict] = []
 
@@ -740,5 +823,5 @@ def _stage_spans(
     add("queue_wait", timing.get("enqueued_at"), timing.get("collected_at"))
     add("batch_wait", timing.get("collected_at"), timing.get("infer_started_at"))
     add("infer", timing.get("infer_started_at"), timing.get("infer_ended_at"))
-    add("serialize", serialize_started, serialize_ended)
+    add("serialize", timing.get("serialize_started_at"), timing.get("serialize_ended_at"))
     return spans

@@ -19,7 +19,10 @@ transport errors — so "no request silently dropped" is checkable:
 ``attempted == ok + shed + other + transport_errors``.
 
 The report carries p50/p95/p99/mean latency, throughput over the
-measurement window, per-status counts, and server-side readings taken
+measurement window, per-status counts, the p50 of the server-accounted
+time each ``200`` reported in its ``Server-Timing`` header and of the
+per-request unaccounted rest (client latency minus server-accounted:
+request read and parse plus transport), and server-side readings taken
 as one atomic ``GET /metrics`` snapshot before and one after the run:
 the *mean fused batch size* over the window (delta of
 ``serve_batch_size_sum`` / ``_count``) and the admission queue's
@@ -122,6 +125,10 @@ class LoadResult:
     other_status: dict[int, int] = field(default_factory=dict)
     transport_errors: int = 0
     latencies_ms: list[float] = field(default_factory=list)
+    #: Per ``200``: the ``Server-Timing`` stage sum, and client latency
+    #: minus it (only responses that carried the header).
+    server_ms: list[float] = field(default_factory=list)
+    unaccounted_ms: list[float] = field(default_factory=list)
     mean_batch_size: float | None = None
     batches: int | None = None
     queue_depth_peak: int | None = None
@@ -135,6 +142,16 @@ class LoadResult:
         if not self.latencies_ms:
             return float("nan")
         return float(np.percentile(self.latencies_ms, q))
+
+    @property
+    def server_p50_ms(self) -> float | None:
+        """Median server-accounted time (None without Server-Timing)."""
+        return float(np.median(self.server_ms)) if self.server_ms else None
+
+    @property
+    def unaccounted_p50_ms(self) -> float | None:
+        """Median per-request client latency not accounted by the server."""
+        return float(np.median(self.unaccounted_ms)) if self.unaccounted_ms else None
 
     @property
     def answered(self) -> int:
@@ -166,9 +183,9 @@ class LoadResult:
                 if self.latencies_ms
                 else None,
             },
-            "mean_batch_size": round(self.mean_batch_size, 3)
-            if self.mean_batch_size is not None
-            else None,
+            "server_p50_ms": _round_or_none(self.server_p50_ms),
+            "unaccounted_p50_ms": _round_or_none(self.unaccounted_p50_ms),
+            "mean_batch_size": _round_or_none(self.mean_batch_size),
             "batches": self.batches,
             "queue_depth_peak": self.queue_depth_peak,
         }
@@ -188,6 +205,11 @@ class LoadResult:
             f"  latency ms: p50 {self.percentile_ms(50):.2f}  "
             f"p95 {self.percentile_ms(95):.2f}  p99 {self.percentile_ms(99):.2f}",
         ]
+        if self.server_p50_ms is not None and self.unaccounted_p50_ms is not None:
+            lines.append(
+                f"  server-accounted p50 {self.server_p50_ms:.2f} ms, "
+                f"unaccounted p50 {self.unaccounted_p50_ms:.2f} ms"
+            )
         if self.mean_batch_size is not None:
             lines.append(
                 f"  server batching: {self.batches} batches, "
@@ -200,10 +222,24 @@ class LoadResult:
         return "\n".join(lines)
 
 
+def _round_or_none(value: float | None) -> float | None:
+    return None if value is None else round(value, 3)
+
+
 class _Stats:
     """Mutable per-worker tallies merged after the run."""
 
-    __slots__ = ("attempted", "ok", "shed", "deadline", "other", "errors", "latencies")
+    __slots__ = (
+        "attempted",
+        "ok",
+        "shed",
+        "deadline",
+        "other",
+        "errors",
+        "latencies",
+        "server",
+        "unaccounted",
+    )
 
     def __init__(self) -> None:
         self.attempted = 0
@@ -213,15 +249,27 @@ class _Stats:
         self.other: dict[int, int] = {}
         self.errors = 0
         self.latencies: list[float] = []
+        self.server: list[float] = []
+        self.unaccounted: list[float] = []
 
-    def record(self, status: int | None, elapsed_s: float) -> None:
+    def record(
+        self,
+        status: int | None,
+        elapsed_s: float,
+        server_timing: dict[str, float] | None = None,
+    ) -> None:
         self.attempted += 1
         if status is None:
             self.errors += 1
             return
         if status == 200:
             self.ok += 1
-            self.latencies.append(elapsed_s * 1000.0)
+            latency_ms = elapsed_s * 1000.0
+            self.latencies.append(latency_ms)
+            if server_timing:
+                server_ms = sum(server_timing.values())
+                self.server.append(server_ms)
+                self.unaccounted.append(latency_ms - server_ms)
         elif status == 429:
             self.shed += 1
         elif status == 504:
@@ -305,7 +353,7 @@ def run_load(
             status, _, _ = client.request("POST", path, payload)
         except OSError:
             status = None
-        tally.record(status, time.perf_counter() - t0)
+        tally.record(status, time.perf_counter() - t0, client.last_server_timing)
 
     def closed_worker(worker: int) -> None:
         client = ServeClient(url, codec=codec)
@@ -367,6 +415,8 @@ def run_load(
         deadline_expired=sum(s.deadline for s in stats),
         transport_errors=sum(s.errors for s in stats),
         latencies_ms=[x for s in stats for x in s.latencies],
+        server_ms=[x for s in stats for x in s.server],
+        unaccounted_ms=[x for s in stats for x in s.unaccounted],
         mean_batch_size=(d_sum / d_count) if d_count > 0 else None,
         batches=int(d_count) if d_count > 0 else None,
         queue_depth_peak=int(peak) if peak is not None else None,

@@ -8,6 +8,7 @@ fixes its GEMM summation order per row precisely so this holds.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -66,6 +67,13 @@ class BlockingInfer(RecordingInfer):
         return super().__call__(items)
 
 
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.001)
+
+
 def submit_concurrently(batcher, payloads, timeout_s=None):
     """Submit each payload from its own thread; return results/errors in order."""
     results = [None] * len(payloads)
@@ -99,18 +107,77 @@ class TestFusing:
             batcher.stop()
 
     def test_concurrent_requests_fuse_into_one_batch(self, metrics):
-        infer = RecordingInfer()
+        infer = BlockingInfer()
         batcher = MicroBatcher(infer, max_batch=4, max_wait_ms=500).start()
+        results = [None] * 4
+        errors = [None] * 4
+
+        def worker(i):
+            try:
+                results[i] = batcher.submit([i + 1.0])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors[i] = exc
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         try:
-            results, errors = submit_concurrently(batcher, [[1.0], [2.0], [3.0], [4.0]])
+            # An idle batcher dispatches the first request alone ...
+            threads[0].start()
+            assert infer.entered.wait(timeout=5.0)
+            # ... and the requests queued during that pass fuse into the
+            # next batch.
+            for t in threads[1:]:
+                t.start()
+            wait_until(lambda: batcher.depth() == 3)
+            infer.release.set()
+            for t in threads:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
         finally:
+            infer.release.set()
             batcher.stop()
         assert errors == [None] * 4
-        # Filling max_batch flushes well before the 500 ms window ends,
-        # and each request gets exactly its own slice back.
-        assert infer.batch_sizes == [4]
+        assert infer.batch_sizes == [1, 3]
+        # Each request gets exactly its own slice back.
         for i, (proba, _) in enumerate(results):
             np.testing.assert_array_equal(proba, [[i + 1.0]])
+
+    def test_idle_batcher_does_not_wait_for_the_fill_window(self, metrics):
+        infer = RecordingInfer()
+        batcher = MicroBatcher(infer, max_batch=32, max_wait_ms=500).start()
+        try:
+            _, _, stamps = batcher.submit_traced([1.0])
+        finally:
+            batcher.stop()
+        batch_wait = stamps["infer_started_at"] - stamps["collected_at"]
+        assert batch_wait < 0.05  # the window is 0.5 s; nothing was running
+        assert infer.batch_sizes == [1]
+
+    def test_fill_window_holds_while_another_pass_runs(self, metrics):
+        infer = BlockingInfer()
+        batcher = MicroBatcher(
+            infer, max_batch=32, max_wait_ms=10_000, workers=2
+        ).start()
+        admitted = obs.counter("serve_requests_total")
+        base = admitted.value
+        threads = [
+            threading.Thread(target=batcher.submit, args=([float(i)],))
+            for i in range(3)
+        ]
+        try:
+            threads[0].start()  # one drainer blocks in its pass
+            assert infer.entered.wait(timeout=5.0)
+            for i in (1, 2):  # the other drainer collects both, held open
+                threads[i].start()
+                wait_until(lambda i=i: admitted.value == base + i + 1)
+                wait_until(lambda: batcher.depth() == 0)
+            infer.release.set()  # the pass ends: the held batch goes
+            for t in threads:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+        finally:
+            infer.release.set()
+            batcher.stop()
+        assert sorted(infer.batch_sizes) == [1, 2]
 
     def test_max_wait_flushes_a_partial_batch(self, metrics):
         infer = RecordingInfer()
@@ -460,11 +527,17 @@ class TestMultiWorker:
         batcher = MicroBatcher(
             RecordingInfer(), max_batch=4, max_wait_ms=1.0, workers=4
         ).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings between drainers
         try:
             payloads = [[float(i)] for i in range(32)]
             results, errors = submit_concurrently(batcher, payloads)
             assert errors == [None] * 32
             for i, (result, _) in enumerate(results):
                 assert result[0, 0] == float(i), "cross-wired response"
+            # Every pass that started also ended: the in-flight count
+            # that gates the fill window is balanced.
+            assert batcher._in_flight == 0
         finally:
+            sys.setswitchinterval(interval)
             batcher.stop()
