@@ -851,6 +851,7 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import gc
     import threading
 
     from repro import obs
@@ -910,6 +911,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = ReproServer(registry, config)
     server.start()
+    # The models and the serving stack live as long as the process: move
+    # them out of the collector's reach, so a full collection scans only
+    # what requests allocate and its pause does not grow with the model.
+    gc.freeze()
     # The exact "listening on" line is the startup contract scripts
     # (e.g. the serve smoke tier) parse to learn the ephemeral port.
     workers_desc = "auto" if autoscale else str(workers)

@@ -8,6 +8,8 @@ specifies.  Degree centrality is kept as an ablation alternative
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graph.graph import Graph
@@ -45,16 +47,23 @@ def eigenvector_centrality(
     if g.num_edges == 0:
         return np.full(g.n, 1.0 / np.sqrt(g.n))
 
-    x = np.full(g.n, 1.0 / np.sqrt(g.n))
-    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    n = g.n
+    x = np.full(n, 1.0 / np.sqrt(n))
+    # y = (A + I) x as one weighted bincount: the identity term first,
+    # then the symmetrised edge list, so every y[v] sums x[v] and then
+    # its neighbours in edge order (bitwise what a scatter-add onto a
+    # copy of x gives).  The norms are sqrt(y . y), as np.linalg.norm
+    # computes them, without its per-call dispatch.
+    index = np.concatenate([np.arange(n), g.edges[:, 0], g.edges[:, 1]])
+    gather = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    weights = np.empty(index.size)
     for _ in range(max_iter):
-        # y = (A + I) x via scatter-add over the symmetrised edge list.
-        y = x.copy()
-        np.add.at(y, src, x[dst])
-        norm = np.linalg.norm(y)
-        y /= norm
-        if np.linalg.norm(y - x) < tol:
+        weights[:n] = x
+        weights[n:] = x[gather]
+        y = np.bincount(index, weights=weights, minlength=n)
+        y /= math.sqrt(y.dot(y))
+        step = y - x
+        if math.sqrt(step.dot(step)) < tol:
             x = y
             break
         x = y

@@ -7,7 +7,10 @@ A serving process has two contractual numbers: how slow it may be
 window of recent requests:
 
 * streaming p50/p95/p99 over the window (bounded memory: the window is
-  capped at ``max_samples`` most-recent observations);
+  capped at ``max_samples`` most-recent observations).  The window's
+  latencies are also kept sorted, so each observation costs a bisect
+  rather than a full percentile pass: the cost of a request must not
+  grow as the window fills;
 * error rate and *burn rate* — observed error rate divided by the
   budgeted rate, so ``burn > 1`` means the budget is being spent faster
   than it accrues;
@@ -28,6 +31,8 @@ than a sliding window) — ``repro ops slo run.jsonl`` prints it.
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 import time
 from collections import deque
@@ -76,6 +81,22 @@ class SloConfig:
             raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
 
 
+def _percentile_sorted(values: list[float], q: float) -> float:
+    """``np.percentile(values, q)`` (linear method) of an ascending list.
+
+    The same arithmetic as numpy's, so the two agree bitwise.
+    """
+    n = len(values)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return values[-1]
+    lo = math.floor(virtual)
+    gamma = virtual - lo
+    a, b = values[lo], values[lo + 1]
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 class SloMonitor:
     """Tracks request outcomes against an :class:`SloConfig`.
 
@@ -87,9 +108,10 @@ class SloMonitor:
         self.config = config or SloConfig()
         self._clock = clock
         #: (ts, latency_ms, is_error) most-recent-last.
-        self._window: deque[tuple[float, float, bool]] = deque(
-            maxlen=self.config.max_samples
-        )
+        self._window: deque[tuple[float, float, bool]] = deque()
+        #: The window's latencies in ascending order, and its error count.
+        self._sorted: list[float] = []
+        self._window_errors = 0
         self._lock = threading.Lock()
         self._degraded = False
         self._last_alert_at = -float("inf")
@@ -101,8 +123,13 @@ class SloMonitor:
         """Record one finished request and re-evaluate the objectives."""
         now = self._clock()
         error = _is_error(int(status))
+        latency_ms = float(latency_s) * 1000.0
         with self._lock:
-            self._window.append((now, float(latency_s) * 1000.0, error))
+            if len(self._window) >= self.config.max_samples:
+                self._evict()
+            self._window.append((now, latency_ms, error))
+            bisect.insort(self._sorted, latency_ms)
+            self._window_errors += error
             self._trim(now)
             self.total += 1
             self.total_errors += int(error)
@@ -110,20 +137,23 @@ class SloMonitor:
         self._publish(stats)
         self._evaluate(stats, now)
 
+    def _evict(self) -> None:
+        _, latency_ms, error = self._window.popleft()
+        del self._sorted[bisect.bisect_left(self._sorted, latency_ms)]
+        self._window_errors -= error
+
     def _trim(self, now: float) -> None:
         horizon = now - self.config.window_s
         while self._window and self._window[0][0] < horizon:
-            self._window.popleft()
+            self._evict()
 
     # -- derived state (lock held by callers of _stats) -----------------
     def _stats(self) -> dict:
-        latencies = [lat for _, lat, _ in self._window]
-        errors = sum(1 for _, _, err in self._window if err)
+        latencies = self._sorted
+        errors = self._window_errors
         count = len(self._window)
         if latencies:
-            p50, p95, p99 = (
-                float(np.percentile(latencies, q)) for q in (50, 95, 99)
-            )
+            p50, p95, p99 = (_percentile_sorted(latencies, q) for q in (50, 95, 99))
         else:
             p50 = p95 = p99 = 0.0
         error_rate = errors / count if count else 0.0

@@ -117,13 +117,30 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects span trees; one stack per thread, one shared root list."""
+    """Collects span trees; one stack per thread, one shared root list.
+
+    :attr:`max_roots` bounds the finished root spans kept in
+    :attr:`roots` (``None``, the default, keeps every one: a run's
+    profile report needs them all).  A long-lived process that records a
+    root per request sets a bound, so memory and garbage-collection
+    passes do not grow with the number of requests served; at least the
+    ``max_roots`` most recent roots are kept.
+    """
 
     def __init__(self, on_close=None) -> None:
         self.on_close = on_close
+        self.max_roots: int | None = None
         self.roots: list[Span] = []
         self._local = threading.local()
         self._lock = threading.Lock()
+
+    def _add_root(self, span: Span) -> None:
+        with self._lock:
+            self.roots.append(span)
+            bound = self.max_roots
+            # Trim in chunks of ``bound`` so each append stays O(1) amortised.
+            if bound is not None and len(self.roots) > 2 * bound:
+                del self.roots[: len(self.roots) - bound]
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -167,8 +184,7 @@ class Tracer:
         if span.parent is not None:
             span.parent.children.append(span)
         else:
-            with self._lock:
-                self.roots.append(span)
+            self._add_root(span)
         if self.on_close is not None:
             self.on_close(span)
 
@@ -195,8 +211,7 @@ class Tracer:
         if parent is not None:
             parent.children.append(sp)
         else:
-            with self._lock:
-                self.roots.append(sp)
+            self._add_root(sp)
         if self.on_close is not None:
             self.on_close(sp)
         return sp

@@ -105,6 +105,11 @@ _TRACES_PREFIX = "/v1/traces/"
 
 _PREDICT_PATHS = ("/v1/predict", "/v1/predict_proba")
 
+#: Finished root spans the process tracer keeps while a server runs
+#: (each request and each fused batch adds one); unbounded, they grow
+#: with every request served, and so do garbage-collection pauses.
+SPAN_RETENTION = 256
+
 #: Largest request body accepted (bytes); a batch of 32 MUTAG-sized
 #: graphs is ~10 KB as JSON.  Bigger declared lengths get 413 before
 #: any read, so a hostile header cannot make the handler buffer it.
@@ -171,6 +176,7 @@ class ReproServer:
         self._pool_lock = threading.Lock()
         self._started_at = 0.0
         self._owns_obs = False
+        self._bounded_tracer = False
         self.slo = SloMonitor(
             SloConfig(
                 latency_p95_ms=self.config.slo_latency_p95_ms,
@@ -196,6 +202,10 @@ class ReproServer:
         if not obs.enabled():
             obs.enable()
             self._owns_obs = True
+        tracer = obs.get_tracer()
+        if tracer.max_roots is None:
+            tracer.max_roots = SPAN_RETENTION
+            self._bounded_tracer = True
         # Expose the full serving surface from the first /metrics scrape,
         # even before any request creates a batcher.
         register_serve_metrics()
@@ -268,6 +278,9 @@ class ReproServer:
         if self._owns_obs:
             obs.disable()
             self._owns_obs = False
+        if self._bounded_tracer:
+            obs.get_tracer().max_roots = None
+            self._bounded_tracer = False
 
     def __enter__(self) -> "ReproServer":
         return self.start()

@@ -19,6 +19,24 @@ from repro.graph import (
 from tests.conftest import random_graphs
 
 
+def _scatter_add_centrality(g, max_iter=200, tol=1e-10):
+    """Reference: power iteration on A + I written out with np.add.at."""
+    if g.num_edges == 0:
+        return np.full(g.n, 1.0 / np.sqrt(g.n))
+    x = np.full(g.n, 1.0 / np.sqrt(g.n))
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    for _ in range(max_iter):
+        y = x.copy()
+        np.add.at(y, src, x[dst])
+        y /= np.linalg.norm(y)
+        if np.linalg.norm(y - x) < tol:
+            x = y
+            break
+        x = y
+    return np.abs(x)
+
+
 class TestEigenvectorCentrality:
     def test_star_center_dominates(self):
         c = eigenvector_centrality(star_graph(6))
@@ -56,6 +74,13 @@ class TestEigenvectorCentrality:
     @settings(max_examples=25, deadline=None)
     def test_non_negative(self, g):
         assert np.all(eigenvector_centrality(g) >= 0)
+
+    @given(random_graphs(min_nodes=2, max_nodes=14))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_scatter_add_power_iteration(self, g):
+        # Vertex alignment sorts on these scores, so the fast iteration
+        # must reproduce the plain scatter-add one bit for bit.
+        assert eigenvector_centrality(g).tobytes() == _scatter_add_centrality(g).tobytes()
 
     def test_matches_networkx_on_connected(self):
         rng = np.random.default_rng(0)

@@ -162,6 +162,36 @@ class TestSloMonitor:
         assert monitor.snapshot()["window"]["window_count"] <= 64
         assert monitor.total == 1000
 
+    def test_window_percentiles_equal_numpy(self):
+        # The sorted window must give np.percentile's numbers exactly,
+        # through both eviction paths (age and the sample cap).
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        monitor, clock = make_monitor(window_s=1.0, max_samples=40, min_samples=1)
+        kept: list[tuple[float, float]] = []
+        for _ in range(600):
+            clock.tick(float(rng.uniform(0.0, 0.05)))
+            latency_s = float(rng.choice([0.004, 0.008, rng.exponential(0.01)]))
+            monitor.observe(latency_s, 200)
+            kept = [(t, lat) for t, lat in kept if t >= clock.now - 1.0][-39:]
+            kept.append((clock.now, latency_s * 1000.0))
+            window = monitor.snapshot()["window"]
+            values = [lat for _, lat in kept]
+            assert window["window_count"] == len(values)
+            for q in (50, 95, 99):
+                assert window[f"p{q}_ms"] == float(np.percentile(values, q))
+
+    def test_window_error_count_follows_evictions(self):
+        monitor, clock = make_monitor(window_s=10.0, max_samples=8)
+        for _ in range(8):
+            clock.tick(0.01)
+            monitor.observe(0.005, 500)
+        for _ in range(6):
+            clock.tick(0.01)
+            monitor.observe(0.005, 200)
+        assert monitor.snapshot()["window"]["window_errors"] == 2
+
     def test_snapshot_is_json_shaped(self):
         import json
 

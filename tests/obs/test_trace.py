@@ -70,6 +70,33 @@ class TestTracerNesting:
         tracer.reset()
         assert tracer.roots == []
 
+    def test_roots_unbounded_by_default(self):
+        tracer = Tracer()
+        for _ in range(100):
+            with tracer.span("r"):
+                pass
+        assert len(tracer.roots) == 100
+
+    def test_max_roots_keeps_the_most_recent(self):
+        tracer = Tracer()
+        tracer.max_roots = 8
+        for i in range(100):
+            with tracer.span("r", i=i):
+                pass
+            assert len(tracer.roots) <= 16
+        kept = [sp.attrs["i"] for sp in tracer.roots]
+        assert len(kept) >= 8
+        assert kept == list(range(100 - len(kept), 100))
+
+    def test_max_roots_bounds_grafted_roots(self):
+        tracer = Tracer()
+        tracer.max_roots = 4
+        for i in range(50):
+            tracer.graft({"name": "w", "attrs": {"i": i}, "duration": 0.0})
+        kept = [sp.attrs["i"] for sp in tracer.roots]
+        assert 4 <= len(kept) <= 8
+        assert kept[-1] == 49
+
 
 class TestGlobalSpan:
     def test_disabled_returns_shared_null_span(self):

@@ -337,3 +337,32 @@ class TestResourceTelemetry:
         # depth on its cadence; with an idle server it must read 0.
         live_server._sampler.sample_once()
         assert obs.get_metrics().gauge("serve_queue_depth").value == 0.0
+
+
+class TestSpanRetention:
+    def test_server_bounds_finished_root_spans_while_it_runs(
+        self, model_path, triangle, monkeypatch
+    ):
+        from repro.serve import ModelRegistry, ReproServer, ServeConfig
+        from repro.serve import http as serve_http
+
+        monkeypatch.setattr(serve_http, "SPAN_RETENTION", 4)
+        tracer = obs.get_tracer()
+        before = tracer.max_roots
+        registry = ModelRegistry(warm=False)
+        registry.load(model_path)
+        server = ReproServer(registry, ServeConfig(port=0))
+        server.start()
+        try:
+            # A bound set by another running server is left as it is.
+            assert tracer.max_roots == (4 if before is None else before)
+            client = ServeClient(server.url)
+            try:
+                for _ in range(20):
+                    client.predict_proba([triangle])
+            finally:
+                client.close()
+            assert len(tracer.roots) <= 2 * tracer.max_roots
+        finally:
+            server.stop()
+        assert tracer.max_roots == before
